@@ -322,7 +322,7 @@ func main() {
 	if *tcpAddr != "" {
 		fopt := framesrv.Options{MaxOps: *maxOps}
 		if mgr != nil {
-			fopt.Tenants = tenantResolver{mgr}
+			fopt.Tenants = mgr
 		} else {
 			fopt.Cache = cache
 		}
@@ -521,18 +521,6 @@ func bootstrapTenants(m *manager.Manager, spec string) error {
 		}
 	}
 	return nil
-}
-
-// tenantResolver adapts the store manager to the frame server's tenant
-// hook, carrying the manager's status mapping onto the error frames.
-type tenantResolver struct{ mgr *manager.Manager }
-
-func (r tenantResolver) AcquireTenant(name string) (framesrv.TenantHandle, error) {
-	h, err := r.mgr.Acquire(name)
-	if err != nil {
-		return nil, &framesrv.StatusError{Code: manager.HTTPStatus(err), Err: err}
-	}
-	return h, nil
 }
 
 func fatal(err error) {

@@ -2,6 +2,7 @@ package dkclique
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -193,6 +194,64 @@ func TestPublicDynamic(t *testing.T) {
 	}
 	_ = freeSeen // some graphs may cover every node; accessor just must not panic
 	_ = dyn.NumCandidates()
+}
+
+// TestPublicDynamicSaveLoad: a maintainer restored by LoadDynamic from
+// Save holds the same graph, result set and version, and keeps
+// maintaining a valid maximal set.
+func TestPublicDynamicSaveLoad(t *testing.T) {
+	g, err := Generate(CommunitySocial(400, 6, 0.3, 400, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Find(g, Options{K: 3, Algorithm: LP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := NewDynamic(g, 3, res.Cliques)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []Update
+	g.Edges(func(u, v int32) bool {
+		ops = append(ops, Update{Insert: false, U: u, V: v})
+		return len(ops) < 30
+	})
+	dyn.ApplyBatch(ops)
+
+	var buf bytes.Buffer
+	if err := dyn.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadDynamic(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.K() != dyn.K() || got.Snapshot().N() != dyn.Snapshot().N() || got.Snapshot().M() != dyn.Snapshot().M() {
+		t.Fatalf("restored k=%d n=%d m=%d, want k=%d n=%d m=%d", got.K(), got.Snapshot().N(), got.Snapshot().M(),
+			dyn.K(), dyn.Snapshot().N(), dyn.Snapshot().M())
+	}
+	if gv, wv := got.ResultSnapshot().Version(), dyn.ResultSnapshot().Version(); gv != wv {
+		t.Fatalf("restored version %d, want %d", gv, wv)
+	}
+	if !reflect.DeepEqual(got.Result(), dyn.Result()) {
+		t.Fatal("restored result set differs from the saved one")
+	}
+	if got.NumCandidates() != dyn.NumCandidates() {
+		t.Fatalf("restored index holds %d candidates, want %d", got.NumCandidates(), dyn.NumCandidates())
+	}
+	for _, op := range ops[:10] {
+		got.InsertEdge(op.U, op.V)
+	}
+	if err := Verify(got.Snapshot(), 3, got.Result()); err != nil {
+		t.Fatal(err)
+	}
+	if !IsMaximal(got.Snapshot(), 3, got.Result()) {
+		t.Fatal("restored maintainer lost maximality after updates")
+	}
+	if _, err := LoadDynamic(strings.NewReader("not a checkpoint")); err == nil {
+		t.Fatal("garbage accepted by LoadDynamic")
+	}
 }
 
 func TestPublicApplyBatch(t *testing.T) {

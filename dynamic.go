@@ -100,13 +100,14 @@ func (d *Dynamic) Stats() DynamicStats { return d.e.Stats() }
 // mutated topology.
 func (d *Dynamic) Snapshot() *Graph { return &Graph{g: d.e.Graph().Snapshot()} }
 
-// Save writes a binary snapshot (graph topology + result set) for warm
-// restarts. The candidate index is rebuilt on load.
-func (d *Dynamic) Save(w io.Writer) error { return d.e.Save(w) }
+// Save writes a binary checkpoint of the maintainer for warm restarts:
+// the graph topology, the result set with its clique ids, and the
+// snapshot version. The candidate index is rebuilt on load.
+func (d *Dynamic) Save(w io.Writer) error { return d.e.WriteCheckpoint(w) }
 
-// LoadDynamic restores a maintainer from a Save snapshot.
+// LoadDynamic restores a maintainer from a Save checkpoint.
 func LoadDynamic(r io.Reader) (*Dynamic, error) {
-	e, err := dynamic.Load(r)
+	e, err := dynamic.LoadCheckpoint(r, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -15,13 +15,13 @@ import (
 // S *with its internal clique ids*, the id allocator position, and the
 // published snapshot version — and deliberately omits everything that is a
 // pure function of that state (the candidate index, rebuilt by Algorithm 5
-// on load) or that is activity accounting (Stats).
+// on load) or that is activity accounting (Stats). It is the engine's only
+// persistence format: the public Dynamic.Save/LoadDynamic write and read
+// it too.
 //
-// Unlike Save/Load (persist.go), which renumber cliques on load and are
-// fine for warm restarts, WriteCheckpoint/LoadCheckpoint preserve identity:
-// replaying the same update stream against a loaded checkpoint reproduces
-// the exact clique ids, snapshot versions, and swap decisions of the
-// original engine — provided the original canonicalized its candidate
+// Checkpoints preserve identity: replaying the same update stream against
+// a loaded checkpoint reproduces the exact clique ids, snapshot versions,
+// and swap decisions of the original engine — provided the original canonicalized its candidate
 // index at the checkpoint boundary (CanonicalizeIndex), because swap
 // tie-breaking follows candidate-id order and loading assigns candidate
 // ids in the deterministic Algorithm-5 order, not the historical one.
@@ -105,7 +105,9 @@ func LoadCheckpoint(r io.Reader, workers int) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: checkpoint graph: %w", err)
 	}
-	if ns*k > int64(g.N()) {
+	// Compared by division: a hostile k near 2^62 would overflow ns*k
+	// past the check and into make([]int32, k) below.
+	if n := int64(g.N()); k > n || ns > n/k {
 		return nil, fmt.Errorf("dynamic: checkpoint holds %d cliques of size %d over %d nodes", ns, k, g.N())
 	}
 	e := newEngineShell(graph.DynamicFrom(g), int(k), workers)

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/workload"
 )
 
@@ -99,9 +101,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	churn(e, rng, 200)
 
-	var buf bytes.Buffer
+	var buf, again bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if err := e.WriteCheckpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("WriteCheckpoint is not byte-deterministic")
 	}
 	e.CanonicalizeIndex()
 	if err := e.Verify(); err != nil {
@@ -179,6 +187,29 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
+	// k = 2^62 over |S| = 2 overflows |S|*k to a negative number, which
+	// must not slip past the size check into a k-member allocation.
+	b := graph.NewBuilder(6)
+	for _, ed := range [][2]int32{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
+		b.AddEdge(ed[0], ed[1])
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := New(g, 3, nil)
+	if err != nil || two.Size() != 2 {
+		t.Fatalf("two-triangle engine: |S|=%d, %v", two.Size(), err)
+	}
+	var small bytes.Buffer
+	if err := two.WriteCheckpoint(&small); err != nil {
+		t.Fatal(err)
+	}
+	hostile := small.Bytes()
+	binary.LittleEndian.PutUint64(hostile[8:], 1<<62)
+	if _, err := LoadCheckpoint(bytes.NewReader(hostile), 0); err == nil {
+		t.Fatal("checkpoint with k=2^62 must not load")
+	}
 	if _, err := LoadCheckpoint(bytes.NewReader(full[:len(full)/2]), 0); err == nil {
 		t.Fatal("truncated checkpoint must not load")
 	}
@@ -192,5 +223,51 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[len(bad)-4:], 0x7fffffff)
 	if _, err := LoadCheckpoint(bytes.NewReader(bad), 0); err == nil {
 		t.Fatal("corrupted clique record must not load")
+	}
+}
+
+// TestSaveDeterministic: the checkpoint bytes are a function of the graph
+// and S alone. Two engines built the same way write the same bytes, and an
+// engine loaded from a checkpoint writes that checkpoint back unchanged.
+func TestSaveDeterministic(t *testing.T) {
+	var a, b, again bytes.Buffer
+	if err := newCheckpointEngine(t, 31).WriteCheckpoint(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := newCheckpointEngine(t, 31).WriteCheckpoint(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("engines built alike wrote different checkpoints")
+	}
+	r, err := LoadCheckpoint(bytes.NewReader(a.Bytes()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteCheckpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), again.Bytes()) {
+		t.Fatal("a loaded engine does not write its checkpoint back unchanged")
+	}
+}
+
+func TestLoadRejectsGarbage(t *testing.T) {
+	for _, in := range []string{"", "short", "NOTMAGIC________________", string(checkpointMagic[:]) + "truncated-header"} {
+		if _, err := LoadCheckpoint(strings.NewReader(in), 0); err == nil {
+			t.Errorf("garbage %q loaded", in)
+		}
+	}
+}
+
+func TestLoadRejectsCorruptHeader(t *testing.T) {
+	var buf bytes.Buffer
+	if err := newCheckpointEngine(t, 37).WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[8] = 1 // k, the first header field after the magic
+	if _, err := LoadCheckpoint(bytes.NewReader(raw), 0); err == nil {
+		t.Fatal("header with k=1 must not load")
 	}
 }

@@ -32,9 +32,9 @@ type Snapshot struct {
 	sgen     uint64 // S-change generation, for copy-on-write reuse
 	schanged uint64 // version at which S last changed (<= version)
 	k        int
-	n, m    int
-	ids     []int32   // sorted clique ids, parallel to cliques
-	cliques [][]int32 // sorted members, ascending clique-id order
+	n, m     int
+	ids      []int32   // sorted clique ids, parallel to cliques
+	cliques  [][]int32 // sorted members, ascending clique-id order
 	// nodePg is the node -> clique id (or free) membership index, paged so
 	// publication clones only the pages an update touched instead of the
 	// whole N-sized array. Pages are immutable once published; entries

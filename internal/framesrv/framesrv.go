@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/dynamic"
+	"repro/internal/manager"
 	"repro/internal/respcache"
 	"repro/internal/serve"
 	"repro/internal/wire"
@@ -52,37 +53,6 @@ type Service interface {
 	// Published returns the channel closed at the next snapshot publish.
 	Published() <-chan struct{}
 }
-
-// TenantHandle is one resolved, pinned tenant: the read surface a
-// request is answered against plus the tenant's private response-body
-// cache. Release must be called when the request (or, for subscribe,
-// the stream) is done — it unpins the tenant for idle eviction.
-// *manager.Handle satisfies this.
-type TenantHandle interface {
-	Service
-	Cache() *respcache.Snapshot
-	Release()
-}
-
-// TenantResolver resolves the tenant name of a request frame to a
-// pinned handle. name is never empty — the server substitutes its
-// default tenant name for frames without a tenant suffix before
-// resolving. Errors are answered as error frames: a *StatusError
-// chooses the status, anything else answers 404 (the common failure is
-// an unknown tenant).
-type TenantResolver interface {
-	AcquireTenant(name string) (TenantHandle, error)
-}
-
-// StatusError carries the HTTP-equivalent status a resolver failure
-// should answer with.
-type StatusError struct {
-	Code int
-	Err  error
-}
-
-func (e *StatusError) Error() string { return e.Err.Error() }
-func (e *StatusError) Unwrap() error { return e.Err }
 
 // ReplHandler serves the primary side of a replication stream on a
 // connection whose last request was a replicate frame (repl.Primary
@@ -112,15 +82,13 @@ type Options struct {
 	// tenant-routed — they serve the default tenant's service.
 	Repl ReplHandler
 	// Tenants, when non-nil, enables multi-tenant serving: every request
-	// frame is resolved through it — frames without a tenant suffix
-	// resolve as DefaultTenant — and answered against the returned
-	// handle's service and cache. Nil keeps the single-tenant behaviour:
-	// the constructor's service answers everything and a tenant-suffixed
-	// frame gets a 404 error frame.
-	Tenants TenantResolver
-	// DefaultTenant is the name substituted for requests without a
-	// tenant suffix when Tenants is set. Default "default".
-	DefaultTenant string
+	// frame is answered against the named tenant's service and cache,
+	// acquired from the manager for the request (for a subscribe, for the
+	// stream) — frames without a tenant suffix as manager.DefaultTenant.
+	// Nil keeps the single-tenant behaviour: the constructor's service
+	// answers everything and a tenant-suffixed frame gets a 404 error
+	// frame.
+	Tenants *manager.Manager
 }
 
 func (o Options) withDefaults() Options {
@@ -129,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DrainGrace <= 0 {
 		o.DrainGrace = 250 * time.Millisecond
-	}
-	if o.DefaultTenant == "" {
-		o.DefaultTenant = "default"
 	}
 	return o
 }
@@ -348,7 +313,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					}
 					svc, _, release, rerr := s.resolve(f)
 					if rerr != nil {
-						scratch = wire.AppendErrorFrame(scratch[:0], statusOf(rerr), rerr.Error())
+						scratch = appendError(scratch[:0], rerr)
 						bw.Write(scratch)
 						bw.Flush()
 						return
@@ -379,36 +344,32 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // resolve pins the service and cache a request frame is answered
-// against. Without a resolver the constructor's service answers
+// against. Without a manager the constructor's service answers
 // suffix-free frames and a tenant-suffixed frame fails; with one, every
 // frame resolves through it (suffix-free frames as the default tenant).
 // The returned release unpins the tenant and is non-nil iff err is nil.
 func (s *Server) resolve(f *wire.Frame) (Service, *respcache.Snapshot, func(), error) {
 	if s.opt.Tenants == nil {
 		if f.Tenant != "" {
-			return nil, nil, nil, &StatusError{Code: http.StatusNotFound,
-				Err: fmt.Errorf("unknown tenant %q: multi-tenant serving not enabled", f.Tenant)}
+			return nil, nil, nil, &respcache.Error{Code: http.StatusNotFound,
+				Msg: fmt.Sprintf("unknown tenant %q: multi-tenant serving not enabled", f.Tenant)}
 		}
 		return s.svc, s.cache, func() {}, nil
 	}
 	name := f.Tenant
 	if name == "" {
-		name = s.opt.DefaultTenant
+		name = manager.DefaultTenant
 	}
-	h, err := s.opt.Tenants.AcquireTenant(name)
+	h, err := s.opt.Tenants.Acquire(name)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, &respcache.Error{Code: manager.HTTPStatus(err), Msg: err.Error()}
 	}
 	return h, h.Cache(), h.Release, nil
 }
 
-// statusOf maps a resolver error to its error-frame status.
-func statusOf(err error) int {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Code
-	}
-	return http.StatusNotFound
+// appendError encodes a refused request as an error frame.
+func appendError(b []byte, err error) []byte {
+	return wire.AppendErrorFrame(b, respcache.Status(err), err.Error())
 }
 
 // respond answers one request frame into bw, reusing scratch for bodies
@@ -418,7 +379,7 @@ func statusOf(err error) int {
 func (s *Server) respond(bw *bufio.Writer, f *wire.Frame, scratch []byte) []byte {
 	svc, cache, release, err := s.resolve(f)
 	if err != nil {
-		scratch = wire.AppendErrorFrame(scratch[:0], statusOf(err), err.Error())
+		scratch = appendError(scratch[:0], err)
 		bw.Write(scratch)
 		return scratch
 	}
@@ -429,83 +390,23 @@ func (s *Server) respond(bw *bufio.Writer, f *wire.Frame, scratch []byte) []byte
 		bw.Write(cache.Binary(snap, !f.HasCliques))
 		return scratch
 	case wire.FrameReqClique:
-		u := f.Node
-		if u < 0 || int(u) >= snap.N() {
-			scratch = wire.AppendErrorFrame(scratch[:0], http.StatusBadRequest,
-				fmt.Sprintf("node %d out of range for %d nodes", u, snap.N()))
+		if err := respcache.CheckNode(snap, f.Node); err != nil {
+			scratch = appendError(scratch[:0], err)
 		} else {
-			scratch = wire.AppendCliqueFrame(scratch[:0], snap.Version(), u, snap.K(), snap.CliqueOf(u))
+			scratch = wire.AppendCliqueFrame(scratch[:0], snap.Version(), f.Node, snap.K(), snap.CliqueOf(f.Node))
 		}
 	case wire.FrameReqCliques:
-		scratch = s.batched(scratch[:0], snap, f.Queried)
+		if cliques, lookups, err := respcache.Batch(snap, f.Queried, s.opt.MaxOps); err != nil {
+			scratch = appendError(scratch[:0], err)
+		} else {
+			scratch = wire.AppendCliquesFrame(scratch[:0], snap.Version(), snap.K(), cliques, lookups)
+		}
 	case wire.FrameReqStats:
-		scratch = s.statsFrame(scratch[:0], snap, svc)
+		ws := respcache.Stats(snap, svc.Stats())
+		scratch = wire.AppendStatsFrame(scratch[:0], snap.Version(), &ws)
 	}
 	bw.Write(scratch)
 	return scratch
-}
-
-// batched resolves a batched lookup against one snapshot, mirroring the
-// HTTP /cliques handler: shared cliques deduplicated (disjointness makes
-// a clique's smallest member a unique key), per-node results pointing
-// into the clique list by index, -1 for uncovered.
-func (s *Server) batched(b []byte, snap *dynamic.Snapshot, queried []int32) []byte {
-	if len(queried) == 0 {
-		return wire.AppendErrorFrame(b, http.StatusBadRequest, "empty batch")
-	}
-	if len(queried) > s.opt.MaxOps {
-		return wire.AppendErrorFrame(b, http.StatusBadRequest,
-			fmt.Sprintf("more than %d nodes in one batch", s.opt.MaxOps))
-	}
-	n := snap.N()
-	var (
-		cliques [][]int32
-		lookups []wire.Lookup
-		seen    map[int32]int32
-	)
-	for _, u := range queried {
-		if u < 0 || int(u) >= n {
-			return wire.AppendErrorFrame(b, http.StatusBadRequest,
-				fmt.Sprintf("node %d out of range for %d nodes", u, n))
-		}
-		idx := int32(-1)
-		if c := snap.CliqueOf(u); c != nil {
-			if seen == nil {
-				seen = make(map[int32]int32)
-			}
-			var ok bool
-			if idx, ok = seen[c[0]]; !ok {
-				idx = int32(len(cliques))
-				cliques = append(cliques, c)
-				seen[c[0]] = idx
-			}
-		}
-		lookups = append(lookups, wire.Lookup{Node: u, Clique: idx})
-	}
-	return wire.AppendCliquesFrame(b, snap.Version(), snap.K(), cliques, lookups)
-}
-
-// statsFrame encodes the service + engine counters, mirroring the HTTP
-// /stats handler.
-func (s *Server) statsFrame(b []byte, snap *dynamic.Snapshot, svc Service) []byte {
-	st := svc.Stats()
-	es := snap.Stats()
-	ws := wire.Stats{
-		Size: uint64(snap.Size()), Nodes: uint64(snap.N()), Edges: uint64(snap.M()),
-		Enqueued: st.Enqueued, Applied: st.Applied, Changed: st.Changed,
-		Batches: st.Batches, Flushes: st.Flushes,
-		Recovered: st.Recovered, Checkpoints: st.Checkpoints,
-		WALBatches: st.WALBatches, WALBytes: st.WALBytes,
-		Insertions: uint64(es.Insertions), Deletions: uint64(es.Deletions),
-		Swaps:             uint64(es.Swaps),
-		IndexBuildUS:      uint64(es.IndexBuild.Microseconds()),
-		QueueDepth:        st.QueueDepth,
-		SnapshotAge:       st.SnapshotAge,
-		WALSyncs:          st.WALSyncs,
-		GroupCommitOps:    st.GroupCommitOps,
-		CheckpointStallNs: st.CheckpointStallNs,
-	}
-	return wire.AppendStatsFrame(b, snap.Version(), &ws)
 }
 
 // streamDeltas is the push mode a subscribe request switches the

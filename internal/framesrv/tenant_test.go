@@ -11,18 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// managerResolver adapts a store manager to the server's tenant hook,
-// the way cmd/dkserver wires it.
-type managerResolver struct{ mgr *manager.Manager }
-
-func (r managerResolver) AcquireTenant(name string) (TenantHandle, error) {
-	h, err := r.mgr.Acquire(name)
-	if err != nil {
-		return nil, &StatusError{Code: manager.HTTPStatus(err), Err: err}
-	}
-	return h, nil
-}
-
 // newTenantServer builds a manager with a default tenant and a smaller
 // "alpha" tenant, and starts a frame server routing through it.
 func newTenantServer(t testing.TB) (string, *manager.Manager) {
@@ -43,7 +31,7 @@ func newTenantServer(t testing.TB) (string, *manager.Manager) {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Release)
-	srv := New(h, Options{Tenants: managerResolver{m}})
+	srv := New(h, Options{Tenants: m})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +110,7 @@ func TestTenantFrameRouting(t *testing.T) {
 }
 
 // TestTenantFrameErrors: unknown tenants answer an error frame carrying
-// the manager's status and message; a server without a resolver rejects
+// the manager's status and message; a server without a manager rejects
 // any tenant-suffixed frame.
 func TestTenantFrameErrors(t *testing.T) {
 	addr, _ := newTenantServer(t)

@@ -268,10 +268,7 @@ func encodeSnapshot(b []byte, snap *dynamic.Snapshot, lean, bin bool) []byte {
 	return appendJSON(b, &resp)
 }
 
-// getClique serves one point lookup. Out-of-range ids are a client
-// error, mirroring the up-front validation of /update — before this
-// check a node id of 10^9 flowed into CliqueOf and came back as a
-// misleading "covered": false.
+// getClique serves one point lookup.
 func (h *handler) getClique(w http.ResponseWriter, r *http.Request) {
 	u, err := strconv.ParseInt(r.PathValue("node"), 10, 32)
 	if err != nil {
@@ -279,9 +276,8 @@ func (h *handler) getClique(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := h.svc.Snapshot()
-	if u < 0 || u >= int64(snap.N()) {
-		writeError(w, r, http.StatusBadRequest,
-			fmt.Sprintf("node %d out of range for %d nodes", u, snap.N()))
+	if err := respcache.CheckNode(snap, int32(u)); err != nil {
+		writeError(w, r, respcache.Status(err), err.Error())
 		return
 	}
 	c := snap.CliqueOf(int32(u))
@@ -300,32 +296,19 @@ func (h *handler) getClique(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// getCliques resolves a batched lookup — GET /cliques?nodes=1,2,3 —
-// against one snapshot: one round trip, one consistent version, shared
-// cliques deduplicated in the response (each distinct clique appears
-// once; per-node results point into the clique list by index, -1 for
-// uncovered nodes).
+// getCliques serves a batched lookup — GET /cliques?nodes=1,2,3 —
+// resolved by respcache.Batch against one snapshot: one round trip, one
+// consistent version, each distinct clique listed once.
 func (h *handler) getCliques(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("nodes")
 	if q == "" {
 		writeError(w, r, http.StatusBadRequest, "nodes parameter required (nodes=1,2,3)")
 		return
 	}
-	snap := h.svc.Snapshot()
-	n := snap.N()
-	var (
-		cliques [][]int32
-		lookups []wire.Lookup
-		// Disjointness makes a clique's smallest member a unique key, so
-		// dedup needs no digesting — first member -> index in cliques.
-		seen map[int32]int32
-	)
-	for count := 0; len(q) > 0; count++ {
-		if count == h.opt.MaxOps {
-			writeError(w, r, http.StatusBadRequest,
-				fmt.Sprintf("more than %d nodes in one batch", h.opt.MaxOps))
-			return
-		}
+	// Parsing stops one id past MaxOps: that is enough for Batch to
+	// refuse the batch, and a hostile query costs no more.
+	var ids []int32
+	for len(q) > 0 && len(ids) <= h.opt.MaxOps {
 		var tok string
 		if i := strings.IndexByte(q, ','); i >= 0 {
 			tok, q = q[:i], q[i+1:]
@@ -337,24 +320,13 @@ func (h *handler) getCliques(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "bad node id "+strconv.Quote(tok))
 			return
 		}
-		if u < 0 || u >= int64(n) {
-			writeError(w, r, http.StatusBadRequest,
-				fmt.Sprintf("node %d out of range for %d nodes", u, n))
-			return
-		}
-		idx := int32(-1)
-		if c := snap.CliqueOf(int32(u)); c != nil {
-			if seen == nil {
-				seen = make(map[int32]int32)
-			}
-			var ok bool
-			if idx, ok = seen[c[0]]; !ok {
-				idx = int32(len(cliques))
-				cliques = append(cliques, c)
-				seen[c[0]] = idx
-			}
-		}
-		lookups = append(lookups, wire.Lookup{Node: int32(u), Clique: idx})
+		ids = append(ids, int32(u))
+	}
+	snap := h.svc.Snapshot()
+	cliques, lookups, err := respcache.Batch(snap, ids, h.opt.MaxOps)
+	if err != nil {
+		writeError(w, r, respcache.Status(err), err.Error())
+		return
 	}
 	if wantBinary(r) {
 		buf := getBuf()
@@ -375,29 +347,14 @@ func (h *handler) getCliques(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// getStats serves the service + engine counters. Deliberately uncached:
-// several counters (Enqueued, Flushes) move without a snapshot
-// publication, so version-keyed memoization would serve stale numbers.
+// getStats serves the service + engine counters gathered by
+// respcache.Stats. Deliberately uncached: several counters (Enqueued,
+// Flushes) move without a snapshot publication, so version-keyed
+// memoization would serve stale numbers.
 func (h *handler) getStats(w http.ResponseWriter, r *http.Request) {
 	snap := h.svc.Snapshot()
-	st := h.svc.Stats()
-	es := snap.Stats()
+	ws := respcache.Stats(snap, h.svc.Stats())
 	if wantBinary(r) {
-		ws := wire.Stats{
-			Size: uint64(snap.Size()), Nodes: uint64(snap.N()), Edges: uint64(snap.M()),
-			Enqueued: st.Enqueued, Applied: st.Applied, Changed: st.Changed,
-			Batches: st.Batches, Flushes: st.Flushes,
-			Recovered: st.Recovered, Checkpoints: st.Checkpoints,
-			WALBatches: st.WALBatches, WALBytes: st.WALBytes,
-			Insertions: uint64(es.Insertions), Deletions: uint64(es.Deletions),
-			Swaps:             uint64(es.Swaps),
-			IndexBuildUS:      uint64(es.IndexBuild.Microseconds()),
-			QueueDepth:        st.QueueDepth,
-			SnapshotAge:       st.SnapshotAge,
-			WALSyncs:          st.WALSyncs,
-			GroupCommitOps:    st.GroupCommitOps,
-			CheckpointStallNs: st.CheckpointStallNs,
-		}
 		buf := getBuf()
 		defer putBuf(buf)
 		*buf = wire.AppendStatsFrame((*buf)[:0], snap.Version(), &ws)
@@ -406,27 +363,27 @@ func (h *handler) getStats(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Version:    snap.Version(),
-		Size:       snap.Size(),
-		Nodes:      snap.N(),
-		Edges:      snap.M(),
-		Enqueued:   st.Enqueued,
-		Applied:    st.Applied,
-		Changed:    st.Changed,
-		Batches:    st.Batches,
-		Flushes:    st.Flushes,
-		Recovered:  st.Recovered,
-		Ckpts:      st.Checkpoints,
-		WALBatches: st.WALBatches,
-		WALBytes:   st.WALBytes,
-		Insertions: es.Insertions,
-		Deletions:  es.Deletions,
-		Swaps:      es.Swaps,
-		IndexMS:    float64(es.IndexBuild.Microseconds()) / 1000,
-		QueueDepth: st.QueueDepth,
-		SnapAge:    st.SnapshotAge,
-		WALSyncs:   st.WALSyncs,
-		GroupOps:   st.GroupCommitOps,
-		CkptStall:  st.CheckpointStallNs,
+		Size:       int(ws.Size),
+		Nodes:      int(ws.Nodes),
+		Edges:      int(ws.Edges),
+		Enqueued:   ws.Enqueued,
+		Applied:    ws.Applied,
+		Changed:    ws.Changed,
+		Batches:    ws.Batches,
+		Flushes:    ws.Flushes,
+		Recovered:  ws.Recovered,
+		Ckpts:      ws.Checkpoints,
+		WALBatches: ws.WALBatches,
+		WALBytes:   ws.WALBytes,
+		Insertions: int(ws.Insertions),
+		Deletions:  int(ws.Deletions),
+		Swaps:      int(ws.Swaps),
+		IndexMS:    float64(ws.IndexBuildUS) / 1000,
+		QueueDepth: ws.QueueDepth,
+		SnapAge:    ws.SnapshotAge,
+		WALSyncs:   ws.WALSyncs,
+		GroupOps:   ws.GroupCommitOps,
+		CkptStall:  ws.CheckpointStallNs,
 	})
 }
 

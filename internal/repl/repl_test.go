@@ -393,12 +393,29 @@ func TestFaultScheduleConvergence(t *testing.T) {
 			svc := newPrimaryService(t, g, "")
 			// A small history window forces captures and trims during the
 			// run, so kills land followers on the re-install path too.
-			_, addr := startRepl(t, svc, 1, PrimaryOptions{HistoryLimit: 128})
+			const historyLimit = 128
+			_, addr := startRepl(t, svc, 1, PrimaryOptions{HistoryLimit: historyLimit})
 			rng := rand.New(rand.NewSource(seed))
 
-			var attempt atomic.Int64
-			f := newTestFollower(t, addr, func(o *FollowerOptions) {
+			// The first redial after the install is held at a gate until
+			// churn has pushed more than historyLimit ops past the
+			// follower's resume point: the history is trimmed past it by
+			// then, so the reconnect must re-install, whatever the timing.
+			var (
+				f        *Follower
+				attempt  atomic.Int64
+				gated    atomic.Bool
+				released = make(chan struct{})
+			)
+			f = newTestFollower(t, addr, func(o *FollowerOptions) {
 				o.Dial = func(ctx context.Context, a string) (net.Conn, error) {
+					if f.Status().Installs > 0 && gated.CompareAndSwap(false, true) {
+						select {
+						case <-released:
+						case <-ctx.Done():
+							return nil, ctx.Err()
+						}
+					}
 					d := net.Dialer{Timeout: time.Second}
 					c, err := d.DialContext(ctx, "tcp", a)
 					if err != nil {
@@ -416,10 +433,21 @@ func TestFaultScheduleConvergence(t *testing.T) {
 			})
 			runFollower(t, f)
 
-			var ver uint64
-			for round := 0; round < 5; round++ {
-				ver = churn(t, svc, rng, 15, 8)
+			// Churn until a kill tears the installed stream and the redial
+			// parks at the gate.
+			for round := 0; !gated.Load(); round++ {
+				if round == 200 {
+					t.Fatalf("seed %d: no fault tore the stream in %d rounds of churn", seed, round)
+				}
+				churn(t, svc, rng, 15, 8)
 				time.Sleep(10 * time.Millisecond) // let faults land mid-stream
+			}
+			churn(t, svc, rng, 2*historyLimit/8, 8)
+			close(released)
+			var ver uint64
+			for round := 0; round < 3; round++ {
+				ver = churn(t, svc, rng, 15, 8)
+				time.Sleep(10 * time.Millisecond)
 			}
 			waitFor(t, 60*time.Second, fmt.Sprintf("convergence to version %d", ver), func() bool {
 				return f.Status().Version >= ver

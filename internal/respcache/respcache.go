@@ -13,6 +13,10 @@
 // snapshot version are answered from the same pre-encoded bytes — the
 // encode cost is paid once per (version, representation) no matter how
 // many transports or requests fan out of it.
+//
+// The package also holds the request semantics the two transports share
+// (request.go): the node-range check, the batched lookup and the stats
+// record, each defined once.
 package respcache
 
 import (

@@ -27,7 +27,7 @@ import (
 // rules). The suffix is version-gated by length: the base layouts are
 // exact-length, so a frame without the suffix decodes exactly as it did
 // before multi-tenancy and old clients interoperate unchanged; a server
-// without a tenant resolver treats a named frame as an unknown tenant.
+// without a tenant manager treats a named frame as an unknown tenant.
 // Replicate frames (FrameReqReplicate) take no tenant — replication is
 // wired to the default tenant.
 const (

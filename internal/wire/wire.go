@@ -28,7 +28,7 @@
 //	cliques:  [8] version, [4] k, [4] ncliques, [4] nlookups,
 //	          ncliques × k × [4] members,
 //	          nlookups × ([4] node, [4] clique index or -1)
-//	stats:    [8] version, 18 × [8] counters (see Stats)
+//	stats:    [8] version, 21 × [8] counters (see Stats)
 //	error:    [4] HTTP status, then the UTF-8 message
 //	delta:    [8] fromVersion, [8] toVersion, [4] k, [4] nodes, [4] edges,
 //	          [4] size, [4] nRemoved, [4] nAdded,
