@@ -371,7 +371,7 @@ func main() {
 		// Close drains the update queue into the engine and, with -data,
 		// writes the final checkpoint — nothing accepted is lost. (On a
 		// follower the stream already stopped with the signal context;
-		// its applied state is durable up to the last canon boundary.)
+		// its applied state is durable up to the last checkpoint boundary.)
 		if err := closeBackend(); err != nil {
 			fatal(fmt.Errorf("service close: %w", err))
 		}

@@ -1,6 +1,9 @@
 package dkclique
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,13 +87,16 @@ func FuzzDynamicEngine(f *testing.F) {
 // Algorithm 5's) after every ApplyBatch — so the unified enumeration core
 // behind forEachCliqueWithEdge / forEachCliqueAmong is fuzz-covered end
 // to end, including the differential candidate rebuilds and the deferred
-// swap processing.
+// swap processing. Before the batch the fuzzer picks, the engine is
+// checkpointed and a second engine loaded from the image; from then on
+// both apply every batch and must publish identical snapshots, although
+// their candidate indexes number entries differently.
 func FuzzEngineBatchVerify(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 2, 3, 4, 5}, uint8(2))
-	f.Add([]byte{10, 11, 12, 10, 11, 12, 7, 8}, uint8(1))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(5))
-	f.Add([]byte{}, uint8(0))
-	f.Fuzz(func(t *testing.T, raw []byte, batchSize uint8) {
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5}, uint8(2), uint8(1))
+	f.Add([]byte{10, 11, 12, 10, 11, 12, 7, 8}, uint8(1), uint8(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(5), uint8(0))
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, batchSize, ckptBatch uint8) {
 		const n = 12
 		g, err := graph.FromEdges(n, [][2]int32{
 			{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}, {3, 5}, {6, 7},
@@ -106,16 +112,33 @@ func FuzzEngineBatchVerify(f *testing.F) {
 			t.Fatalf("fresh engine: %v", err)
 		}
 		size := int(batchSize%16) + 1
+		ckptAt := int(ckptBatch % 16)
+		var loaded *dynamic.Engine
 		var ops []workload.Op
+		batches := 0
 		flush := func() {
 			if len(ops) == 0 {
 				return
 			}
+			if batches == ckptAt {
+				var buf bytes.Buffer
+				if err := eng.WriteCheckpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if loaded, err = dynamic.LoadCheckpoint(&buf, 1); err != nil {
+					t.Fatalf("load checkpoint: %v", err)
+				}
+			}
+			batches++
 			eng.ApplyBatch(ops)
-			ops = ops[:0]
 			if err := eng.Verify(); err != nil {
 				t.Fatalf("after batch: %v", err)
 			}
+			if loaded != nil {
+				loaded.ApplyBatch(ops)
+				sameSnapshot(t, loaded.Snapshot(), eng.Snapshot())
+			}
+			ops = ops[:0]
 		}
 		for i := 0; i+1 < len(raw); i += 2 {
 			u := int32(raw[i] % n)
@@ -138,6 +161,25 @@ func FuzzEngineBatchVerify(f *testing.F) {
 			t.Fatalf("snapshot size %d != engine size %d", snap.Size(), eng.Size())
 		}
 	})
+}
+
+// sameSnapshot requires two published snapshots to agree on everything a
+// reader can see except the activity counters: version, shape, the
+// clique list and every node's membership.
+func sameSnapshot(t *testing.T, got, want *dynamic.Snapshot) {
+	t.Helper()
+	if got.Version() != want.Version() || got.N() != want.N() || got.M() != want.M() {
+		t.Fatalf("snapshot (v%d n=%d m=%d), want (v%d n=%d m=%d)",
+			got.Version(), got.N(), got.M(), want.Version(), want.N(), want.M())
+	}
+	if !reflect.DeepEqual(got.Cliques(), want.Cliques()) {
+		t.Fatalf("v%d: clique lists differ: %v vs %v", want.Version(), got.Cliques(), want.Cliques())
+	}
+	for u := int32(0); int(u) < want.N(); u++ {
+		if !slices.Equal(got.CliqueOf(u), want.CliqueOf(u)) {
+			t.Fatalf("v%d: membership of node %d differs", want.Version(), u)
+		}
+	}
 }
 
 // FuzzFindOnRandomEdges feeds arbitrary edge bytes into the static solver.

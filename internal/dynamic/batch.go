@@ -51,6 +51,7 @@ func (e *Engine) ApplyBatch(ops []workload.Op) int {
 	if len(ops) == 0 {
 		return 0
 	}
+	e.renumberCandidates()
 	if e.batch != nil {
 		// Re-entrant call (programming error); degrade to serial safety.
 		applied := 0

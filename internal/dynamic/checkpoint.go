@@ -20,54 +20,50 @@ import (
 // it too.
 //
 // Checkpoints preserve identity: replaying the same update stream against
-// a loaded checkpoint reproduces the exact clique ids, snapshot versions,
-// and swap decisions of the original engine — provided the original canonicalized its candidate
-// index at the checkpoint boundary (CanonicalizeIndex), because swap
-// tie-breaking follows candidate-id order and loading assigns candidate
-// ids in the deterministic Algorithm-5 order, not the historical one.
+// a loaded checkpoint reproduces the exact clique ids, snapshot versions
+// and swap decisions of the original engine. The loaded candidate index
+// holds the same candidates as the live one under different internal ids
+// (Algorithm-5 order instead of creation order), and that is harmless:
+// greedyDisjoint, the one place swaps choose among an owner's candidates,
+// breaks ties by member list, so no decision ever depends on a candidate
+// id.
 var checkpointMagic = [8]byte{'D', 'K', 'C', 'Q', 'C', 'K', 'P', '1'}
 
-// graphBinarySize returns the exact byte length of graph.WriteBinary's
-// output for g, so the checkpoint can length-prefix the embedded graph and
-// the loader can hand ReadBinary a bounded reader (its internal buffering
-// must not consume bytes that belong to the clique records after it).
-func graphBinarySize(g *graph.Graph) int64 {
-	return 8 + 8 + 8*int64(g.N()+1) + 4*int64(2*g.M())
-}
-
 // WriteCheckpoint serialises the engine's durable state: header, graph
-// (the binary CSR format of internal/graph), then S as (id, members)
-// records in ascending id order.
+// (the binary CSR format of internal/graph, length-prefixed so the loader
+// can hand ReadBinary a bounded reader), then S as (id, members) records
+// in ascending id order. The graph is written straight from the dynamic
+// rows; no CSR copy is built.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(checkpointMagic[:]); err != nil {
-		return err
-	}
-	gs := e.g.Snapshot()
 	var version uint64
 	if s := e.snap.Load(); s != nil {
 		version = s.version
 	}
-	hdr := []int64{
+	var hdr [8 + 5*8]byte
+	copy(hdr[:], checkpointMagic[:])
+	for i, v := range [...]int64{
 		int64(e.k),
 		int64(version),
 		int64(e.nextClique),
 		int64(len(e.orderIds)),
-		graphBinarySize(gs),
+		e.g.BinarySize(),
+	} {
+		binary.LittleEndian.PutUint64(hdr[8+8*i:], uint64(v))
 	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := graph.WriteBinary(bw, gs); err != nil {
+	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
+	if err := e.g.WriteBinary(bw); err != nil {
+		return err
+	}
+	rec := make([]byte, 0, 4*(e.k+1))
 	for i, id := range e.orderIds {
-		if err := binary.Write(bw, binary.LittleEndian, id); err != nil {
-			return err
+		rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(id))
+		for _, u := range e.orderCliques[i] {
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(u))
 		}
-		if err := binary.Write(bw, binary.LittleEndian, e.orderCliques[i]); err != nil {
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
@@ -155,29 +151,4 @@ func LoadCheckpoint(r io.Reader, workers int) (*Engine, error) {
 	e.ver0 = uint64(version) - 1
 	e.publish()
 	return e, nil
-}
-
-// CanonicalizeIndex rebuilds the candidate index from scratch, resetting
-// candidate-id assignment to the deterministic Algorithm-5 order that
-// LoadCheckpoint produces. The indexed candidate *set* is unchanged (the
-// index is a pure function of graph and S) — only the internal ids move.
-//
-// The serving layer calls this immediately after writing a checkpoint:
-// swap operations break ties by candidate-id order, so without the rebuild
-// a live engine (historical, creation-ordered ids) and a recovery from the
-// checkpoint (fresh Algorithm-5 ids) could drift apart on the same
-// subsequent updates. With it, checkpoint + WAL replay is byte-identical
-// to the engine that never crashed. Stats are preserved; nothing is
-// published (S and the graph are untouched).
-func (e *Engine) CanonicalizeIndex() {
-	st := e.stats
-	e.cands = make(map[int32]*candidate, len(e.cands))
-	e.candDedup = newCandDedup()
-	e.candsByOwn = make(map[int32]*idSet, len(e.candsByOwn))
-	for i := range e.candsByNode {
-		e.candsByNode[i].items = e.candsByNode[i].items[:0]
-	}
-	e.nextCand = 0
-	e.buildIndex()
-	e.stats = st
 }

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -66,22 +67,26 @@ func sameEngineState(t *testing.T, a, b *Engine) {
 	}
 }
 
-// sameCandidateIndex requires bit-for-bit identical candidate indexes —
-// the property CanonicalizeIndex buys at each checkpoint boundary.
+// sameCandidateIndex requires both indexes to hold the same candidates:
+// equal sets of (owner, members) pairs. Candidate ids are internal — a
+// loaded index numbers its entries in Algorithm-5 order, a live one in
+// creation order — so they are not compared.
 func sameCandidateIndex(t *testing.T, a, b *Engine) {
 	t.Helper()
-	if a.nextCand != b.nextCand || len(a.cands) != len(b.cands) {
-		t.Fatalf("candidate allocators differ: next %d/%d size %d/%d",
-			a.nextCand, b.nextCand, len(a.cands), len(b.cands))
-	}
-	for id, ca := range a.cands {
-		cb, ok := b.cands[id]
-		if !ok {
-			t.Fatalf("candidate %d missing from second index", id)
+	content := func(e *Engine) map[string]int32 {
+		m := make(map[string]int32, len(e.cands))
+		for _, c := range e.cands {
+			m[fmt.Sprint(c.nodes)] = c.owner
 		}
-		if ca.owner != cb.owner || !reflect.DeepEqual(ca.nodes, cb.nodes) {
-			t.Fatalf("candidate %d differs: (%v own %d) vs (%v own %d)",
-				id, ca.nodes, ca.owner, cb.nodes, cb.owner)
+		return m
+	}
+	ca, cb := content(a), content(b)
+	if len(ca) != len(cb) {
+		t.Fatalf("candidate indexes hold %d vs %d candidates", len(ca), len(cb))
+	}
+	for nodes, owner := range ca {
+		if other, ok := cb[nodes]; !ok || other != owner {
+			t.Fatalf("candidate %s: owner %d vs %d (present %v)", nodes, owner, other, ok)
 		}
 	}
 }
@@ -111,9 +116,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("WriteCheckpoint is not byte-deterministic")
 	}
-	e.CanonicalizeIndex()
 	if err := e.Verify(); err != nil {
-		t.Fatalf("canonicalized engine: %v", err)
+		t.Fatalf("checkpointed engine: %v", err)
 	}
 	r, err := LoadCheckpoint(&buf, 0)
 	if err != nil {
@@ -126,10 +130,45 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	sameCandidateIndex(t, e, r)
 }
 
+// TestCheckpointGraphSectionStreamed: WriteCheckpoint encodes the graph
+// straight from the dynamic rows, and those bytes must be exactly
+// graph.WriteBinary of a CSR snapshot, with the header's length prefix
+// their size — on a churned graph whose first, last and some middle
+// nodes are isolated.
+func TestCheckpointGraphSectionStreamed(t *testing.T) {
+	e := newCheckpointEngine(t, 41)
+	churn(e, rand.New(rand.NewSource(43)), 300)
+	n := int32(e.g.N())
+	var isolate []workload.Op
+	for _, u := range []int32{0, 1, n / 2, n - 1} {
+		for _, v := range e.g.Neighbors(u) {
+			isolate = append(isolate, workload.Op{U: u, V: v})
+		}
+	}
+	e.ApplyBatch(isolate)
+	if e.g.Degree(0) != 0 || e.g.Degree(n-1) != 0 {
+		t.Fatal("isolation batch left edges behind")
+	}
+	var want bytes.Buffer
+	if err := graph.WriteBinary(&want, e.g.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := e.WriteCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 8 + 5*8 // magic + five header fields
+	if size := binary.LittleEndian.Uint64(ckpt.Bytes()[hdr-8:]); size != uint64(want.Len()) {
+		t.Fatalf("header says %d graph bytes, graph.WriteBinary wrote %d", size, want.Len())
+	}
+	if section := ckpt.Bytes()[hdr : hdr+want.Len()]; !bytes.Equal(section, want.Bytes()) {
+		t.Fatal("checkpoint graph section differs from graph.WriteBinary of the snapshot")
+	}
+}
+
 // TestCheckpointReplayDeterminism is the guarantee recovery rests on:
-// after checkpoint + canonicalize, the live engine and an engine loaded
-// from the checkpoint stay byte-identical under the same update stream,
-// batch for batch.
+// after a checkpoint, the live engine and an engine loaded from it stay
+// byte-identical under the same update stream, batch for batch.
 func TestCheckpointReplayDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		e := newCheckpointEngine(t, 11+seed)
@@ -140,7 +179,6 @@ func TestCheckpointReplayDeterminism(t *testing.T) {
 		if err := e.WriteCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		e.CanonicalizeIndex()
 		r, err := LoadCheckpoint(&buf, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -158,6 +196,118 @@ func TestCheckpointReplayDeterminism(t *testing.T) {
 		}
 		sameCandidateIndex(t, e, r)
 	}
+}
+
+// TestCheckpointReplayWithoutCanonicalization checks the determinism
+// contract where it can break: swap tie-breaking. The live engine keeps
+// the candidate ids its history assigned, the loaded one gets fresh
+// Algorithm-5 ids, and nothing reconciles them. Both must still take the
+// same decisions under 200 further batches (a quarter of them applied
+// op by op through the non-batch update path), compared after every
+// batch. Breaking ties by candidate id instead of member content makes
+// several seeds diverge here.
+func TestCheckpointReplayWithoutCanonicalization(t *testing.T) {
+	const seeds, batches = 20, 200
+	for seed := int64(0); seed < seeds; seed++ {
+		e := newCheckpointEngine(t, 100+seed)
+		rng := rand.New(rand.NewSource(200 + seed))
+		churn(e, rng, 300)
+
+		var buf bytes.Buffer
+		if err := e.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := LoadCheckpoint(&buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < batches; round++ {
+			batch := randomBatch(e, rng, 1+rng.Intn(12))
+			if rng.Intn(4) == 0 {
+				for _, op := range batch {
+					if e.applyOne(op) != r.applyOne(op) {
+						t.Fatalf("seed %d round %d: op %v applied differently", seed, round, op)
+					}
+				}
+			} else if ca, cb := e.ApplyBatch(batch), r.ApplyBatch(batch); ca != cb {
+				t.Fatalf("seed %d round %d: applied %d vs %d", seed, round, ca, cb)
+			}
+			if e.nextClique != r.nextClique {
+				t.Fatalf("seed %d round %d: nextClique %d vs %d", seed, round, e.nextClique, r.nextClique)
+			}
+			sa, sb := e.Snapshot(), r.Snapshot()
+			if sa.Version() != sb.Version() {
+				t.Fatalf("seed %d round %d: version %d vs %d", seed, round, sa.Version(), sb.Version())
+			}
+			if !reflect.DeepEqual(sa.Cliques(), sb.Cliques()) {
+				t.Fatalf("seed %d round %d: clique lists differ", seed, round)
+			}
+		}
+		// Vacuity guard: the replay must have taken swap decisions, or
+		// the tie-break it exists to pin down was never exercised.
+		if r.Stats().Swaps == 0 {
+			t.Fatalf("seed %d: replay executed no swaps", seed)
+		}
+		sameEngineState(t, e, r)
+		sameCandidateIndex(t, e, r)
+		if err := r.Verify(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestCheckpointReplayAcrossCandidateRenumbering: once candidate-id
+// assignment passes candRenumberAt, the next update renumbers the whole
+// index. The renumbering must keep every index invariant and change no
+// decision: a live engine whose id counter is pushed to just short of
+// the mark and an engine loaded from its checkpoint (ids far below it)
+// stay identical through the updates that cross it, on both the batch
+// and the op-by-op path.
+func TestCheckpointReplayAcrossCandidateRenumbering(t *testing.T) {
+	e := newCheckpointEngine(t, 7)
+	rng := rand.New(rand.NewSource(8))
+	churn(e, rng, 200)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := LoadCheckpoint(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.nextCand = candRenumberAt - 3
+	renumbered := 0
+	for round := 0; round < 60; round++ {
+		before := e.nextCand
+		batch := randomBatch(e, rng, 1+rng.Intn(8))
+		if round%2 == 0 {
+			for _, op := range batch {
+				if e.applyOne(op) != r.applyOne(op) {
+					t.Fatalf("round %d: op %v applied differently", round, op)
+				}
+			}
+		} else if ca, cb := e.ApplyBatch(batch), r.ApplyBatch(batch); ca != cb {
+			t.Fatalf("round %d: applied %d vs %d", round, ca, cb)
+		}
+		if e.nextCand < before {
+			renumbered++
+		}
+		if e.nextClique != r.nextClique || e.Snapshot().Version() != r.Snapshot().Version() ||
+			!reflect.DeepEqual(e.Snapshot().Cliques(), r.Snapshot().Cliques()) {
+			t.Fatalf("round %d: live and loaded engines differ", round)
+		}
+		if err := e.Verify(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if renumbered == 0 {
+		t.Fatal("the live engine never renumbered its candidate ids")
+	}
+	if e.nextCand >= candRenumberAt {
+		t.Fatalf("next candidate id %d still past the mark", e.nextCand)
+	}
+	sameEngineState(t, e, r)
+	sameCandidateIndex(t, e, r)
 }
 
 // randomBatch builds a batch of random ops against the engine's current

@@ -25,6 +25,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -337,6 +338,38 @@ func (e *Engine) ensureCandidate(nodes []int32, owner int32) (int32, bool) {
 	}
 	e.stats.CandidatesCreated++
 	return id, true
+}
+
+// candRenumberAt bounds candidate-id assignment. Ids only grow — every
+// new candidate takes the next one — so a long-lived engine would run
+// the int32 counter into live ids; once it passes this mark, the next
+// update starts by renumbering the index. Half the int32 range leaves far
+// more headroom than one update or batch can use.
+const candRenumberAt = math.MaxInt32 / 2
+
+// renumberCandidates rebuilds the candidate index from scratch when id
+// assignment has passed candRenumberAt. The rebuild assigns ids from 0
+// again, in the Algorithm-5 order LoadCheckpoint uses, and drops the
+// capacity the index maps accumulated. The candidate set is unchanged (the
+// index is a function of graph and S) and no decision reads an id, so the
+// rebuild is invisible outside the index. It runs only at the start of a
+// public update, never inside one: the differential rebuilds hold
+// candidate ids across their steps. Stats are preserved; nothing is
+// published.
+func (e *Engine) renumberCandidates() {
+	if e.nextCand < candRenumberAt || e.batch != nil {
+		return
+	}
+	st := e.stats
+	e.cands = make(map[int32]*candidate, len(e.cands))
+	e.candDedup = newCandDedup()
+	e.candsByOwn = make(map[int32]*idSet, len(e.candsByOwn))
+	for i := range e.candsByNode {
+		e.candsByNode[i].items = e.candsByNode[i].items[:0]
+	}
+	e.nextCand = 0
+	e.buildIndex()
+	e.stats = st
 }
 
 // dropCandidate removes a candidate from every index.

@@ -28,7 +28,6 @@ type enumScratch struct {
 	adjOwners []int32          // ownersAdjacentTo output
 	keep      []int32          // surviving candidate ids in differential rebuilds
 	stale     []int32          // dropStaleCandidates output
-	swapIDs   []int32          // trySwap: owner's candidate ids
 	swapLists [][]int32        // trySwap: member-list pointers for greedyDisjoint
 	gdNodes   []int32          // greedyDisjoint: concatenated sorted members / used set
 	gdEntries []gdEntry        // greedyDisjoint: selection order

@@ -19,11 +19,17 @@ type gdEntry struct {
 // ascending clique-score order — Algorithm 2 applied to a candidate set
 // (Algorithm 4 line 4). Node scores are computed locally over the set
 // (the number of given cliques containing each node), which preserves the
-// minimum-conflict-first heuristic without a global recount. The returned
-// cliques alias the input slices and the returned slice itself lives in
-// sc; callers copy what they retain (installClique already does) and must
-// consume the result before the next greedyDisjoint call on the same
-// scratch.
+// minimum-conflict-first heuristic without a global recount. Score ties
+// break by member list, never by input position: callers pass an owner's
+// candidates in candidate-id order, and those ids depend on the order the
+// index happened to create its entries (a checkpoint-loaded index numbers
+// them afresh). Breaking ties by content makes every swap decision a
+// function of the graph and S alone, so a loaded engine replays an update
+// stream exactly as the live one does. The given cliques must be
+// distinct. The returned cliques alias the input slices and the returned
+// slice itself lives in sc; callers copy what they retain (installClique
+// already does) and must consume the result before the next
+// greedyDisjoint call on the same scratch.
 //
 // Candidate sets are tiny (a handful of k-sized cliques), so multiplicity
 // counting runs over one sorted scratch slice and the used-node set is a
@@ -61,7 +67,7 @@ func greedyDisjoint(sc *enumScratch, cliques [][]int32) [][]int32 {
 		if c := cmp.Compare(a.score, b.score); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.idx, b.idx)
+		return slices.Compare(cliques[a.idx], cliques[b.idx])
 	})
 	used := all[:0]
 	out := sc.gdOut[:0]
@@ -109,13 +115,11 @@ func (e *Engine) trySwap(q []int32) {
 		if own == nil || own.size() < 2 {
 			continue // |S_dis| > 1 is impossible
 		}
-		// Stage ids and member-list pointers in the engine scratch instead
-		// of fresh slices; queue pops that find nothing to swap are the
+		// Stage the member-list pointers in the engine scratch instead of
+		// a fresh slice; queue pops that find nothing to swap are the
 		// common case.
-		ids := append(e.esc.swapIDs[:0], own.ids()...)
-		e.esc.swapIDs = ids
 		lists := e.esc.swapLists[:0]
-		for _, id := range ids {
+		for _, id := range own.ids() {
 			lists = append(lists, e.cands[id].nodes)
 		}
 		e.esc.swapLists = lists

@@ -5,6 +5,7 @@ import "slices"
 // InsertEdge applies Algorithm 6 (incremental update). It reports whether
 // the edge was new; inserting an existing edge or a self-loop is a no-op.
 func (e *Engine) InsertEdge(u, v int32) bool {
+	e.renumberCandidates()
 	if !e.g.InsertEdge(u, v) {
 		return false
 	}
@@ -109,6 +110,7 @@ func (e *Engine) insertBothFree(u, v int32) {
 // DeleteEdge applies Algorithm 7 (decremental update). It reports whether
 // the edge existed.
 func (e *Engine) DeleteEdge(u, v int32) bool {
+	e.renumberCandidates()
 	if !e.g.HasEdge(u, v) {
 		return false
 	}

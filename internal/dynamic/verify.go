@@ -101,6 +101,9 @@ func (e *Engine) Verify() error {
 
 	// 3. Every indexed candidate is a genuine candidate clique.
 	for id, c := range e.cands {
+		if id < 0 || id >= e.nextCand || c.id != id {
+			return fmt.Errorf("candidate %d (id field %d) outside the assigned ids [0, %d)", id, c.id, e.nextCand)
+		}
 		if len(c.nodes) != e.k {
 			return fmt.Errorf("candidate %d has %d nodes", id, len(c.nodes))
 		}

@@ -89,3 +89,46 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	return g, nil
 }
+
+// BinarySize returns the exact byte length of WriteBinary's output for
+// the graph's current topology.
+func (d *Dynamic) BinarySize() int64 {
+	return int64(len(binaryMagic)) + 8 + 8*int64(d.N()+1) + 4*int64(2*d.m)
+}
+
+// WriteBinary writes the same bytes as WriteBinary(w, d.Snapshot())
+// straight from the rows, through one reused scratch buffer instead of
+// a CSR copy of the graph. w should be buffered.
+func (d *Dynamic) WriteBinary(w io.Writer) error {
+	const flushAt = 32 << 10
+	n := d.N()
+	buf := make([]byte, 0, flushAt+64)
+	buf = append(buf, binaryMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	var pos uint64
+	for u := 0; u <= n; u++ {
+		buf = binary.LittleEndian.AppendUint64(buf, pos)
+		if u < n {
+			pos += uint64(len(d.adj[u]))
+		}
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	for _, row := range d.adj {
+		for _, v := range row {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		}
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	_, err := w.Write(buf)
+	return err
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -79,5 +80,40 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	// Truncation must fail.
 	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// TestDynamicWriteBinaryMatchesSnapshot: the streamed writer emits exactly
+// WriteBinary's bytes for the snapshot, with BinarySize their length — on
+// an empty graph and on a churned one with isolated first, middle and last
+// nodes that is large enough for several scratch-buffer flushes in both
+// the offsets and the adjacency section.
+func TestDynamicWriteBinaryMatchesSnapshot(t *testing.T) {
+	const n = 6000
+	d := NewDynamic(n)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 3*n; i++ {
+		d.InsertEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+	}
+	for i := 0; i < n/2; i++ {
+		d.DeleteEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+	}
+	for _, u := range []int32{0, n / 2, n - 1} {
+		d.IsolateNode(u)
+	}
+	for _, g := range []*Dynamic{NewDynamic(0), d} {
+		var want, got bytes.Buffer
+		if err := WriteBinary(&want, g.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.WriteBinary(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: streamed bytes differ from WriteBinary of the snapshot", g.N())
+		}
+		if g.BinarySize() != int64(want.Len()) {
+			t.Fatalf("n=%d: BinarySize %d, WriteBinary wrote %d bytes", g.N(), g.BinarySize(), want.Len())
+		}
 	}
 }

@@ -33,7 +33,7 @@ type FollowerOptions struct {
 	// Workers bounds the follower engine's parallelism (serve.Options).
 	Workers int
 	// Fsync is the follower store's WAL sync policy. The default,
-	// SyncNone, defers syncs to the shipped canon boundaries (each is a
+	// SyncNone, defers syncs to the shipped checkpoint boundaries (each is a
 	// full checkpoint); a crash can then lose the tail past the last
 	// boundary, which the stream simply re-ships on reconnect.
 	Fsync wal.SyncPolicy
@@ -320,11 +320,11 @@ func (f *Follower) stream1(ctx context.Context) (applied bool, err error) {
 }
 
 // applyFrame applies one stream frame: fence first, then install/batch/
-// canon. Any error tears the connection down; divergence additionally
+// boundary. Any error tears the connection down; divergence additionally
 // marks the state bad so the next handshake asks for an install.
 func (f *Follower) applyFrame(ctx context.Context, fr *wire.Frame) error {
 	switch fr.Type {
-	case wire.FrameReplCheckpoint, wire.FrameReplBatch, wire.FrameReplCanon:
+	case wire.FrameReplCheckpoint, wire.FrameReplBatch, wire.FrameReplBoundary:
 	default:
 		return fmt.Errorf("repl: unexpected frame type %d on replication stream", fr.Type)
 	}
@@ -379,18 +379,18 @@ func (f *Follower) applyFrame(ctx context.Context, fr *wire.Frame) error {
 		f.version = ver
 		f.mu.Unlock()
 		return nil
-	default: // FrameReplCanon
+	default: // FrameReplBoundary
 		svc := f.svc.Load()
 		if svc == nil {
-			return errors.New("repl: canon before any checkpoint install")
+			return errors.New("repl: checkpoint boundary before any checkpoint install")
 		}
-		ver, err := svc.Canonicalize(ctx)
+		ver, err := svc.CheckpointBoundary(ctx)
 		if err != nil {
-			return fmt.Errorf("apply canon @%d: %w", fr.Version, err)
+			return fmt.Errorf("apply checkpoint boundary @%d: %w", fr.Version, err)
 		}
 		if ver != fr.Version {
 			f.markBad()
-			return fmt.Errorf("repl: divergence: canon at version %d, engine at %d", fr.Version, ver)
+			return fmt.Errorf("repl: divergence: checkpoint boundary at version %d, engine at %d", fr.Version, ver)
 		}
 		return nil
 	}

@@ -1,7 +1,7 @@
 // Package repl replicates a serving-layer Service over the wire frame
 // transport: a Primary hooks the writer goroutine of internal/serve and
 // streams every S-changing batch (the WAL's exact ApplyBatch units) and
-// every canonicalization boundary to any number of followers; a
+// every checkpoint boundary to any number of followers; a
 // Follower applies that stream through the same deterministic engine,
 // so its MVCC snapshots are byte-identical to the primary's at every
 // shipped version.
@@ -52,11 +52,11 @@ type PrimaryOptions struct {
 }
 
 // entry is one unit of the replicated history: a shipped batch or a
-// canonicalization marker.
+// checkpoint-boundary marker.
 type entry struct {
-	canon   bool
-	version uint64
-	ops     []wire.EdgeOp // nil for canon entries; immutable once stored
+	boundary bool
+	version  uint64
+	ops      []wire.EdgeOp // nil for boundary entries; immutable once stored
 }
 
 // capture is a checkpoint the primary can install fresh or lagging
@@ -154,14 +154,14 @@ func (p *Primary) ReplBatch(cp serve.Checkpointer, ops []workload.Op, version ui
 	}
 }
 
-// ReplCanon implements serve.ReplSink: record a canonicalization
-// boundary. Also reached re-entrantly from capture (a checkpoint
-// capture IS a canon boundary), which is why capture never holds p.mu
-// across cp.Checkpoint.
-func (p *Primary) ReplCanon(version uint64) {
+// ReplBoundary implements serve.ReplSink: record a checkpoint boundary.
+// Also reached re-entrantly from capture (a checkpoint capture is a
+// boundary too), which is why capture never holds p.mu across
+// cp.Checkpoint.
+func (p *Primary) ReplBoundary(version uint64) {
 	p.mu.Lock()
-	if n := len(p.history); n == 0 || !p.history[n-1].canon || p.history[n-1].version != version {
-		p.history = append(p.history, entry{canon: true, version: version})
+	if n := len(p.history); n == 0 || !p.history[n-1].boundary || p.history[n-1].version != version {
+		p.history = append(p.history, entry{boundary: true, version: version})
 		p.wake()
 	}
 	p.mu.Unlock()
@@ -172,8 +172,7 @@ func (p *Primary) ReplCanon(version uint64) {
 // quiescent (from a ReplSink callback or inside a Barrier).
 func (p *Primary) capture(cp serve.Checkpointer) error {
 	var buf bytes.Buffer
-	// cp.Checkpoint canonicalizes and re-enters ReplCanon; p.mu must not
-	// be held here.
+	// cp.Checkpoint re-enters ReplBoundary; p.mu must not be held here.
 	ver, err := cp.Checkpoint(&buf)
 	if err != nil {
 		return err
@@ -187,13 +186,13 @@ func (p *Primary) capture(cp serve.Checkpointer) error {
 
 // trimLocked drops every history entry the base capture covers: batches
 // at or below the base version (an installed follower already has their
-// effect) and canon markers strictly below it (the install itself is
-// canonical at the base version; the marker AT it is kept for resuming
+// effect) and boundary markers strictly below it (the install itself is
+// a boundary at the base version; the marker AT it is kept for resuming
 // followers that crashed between the batch and the boundary).
 func (p *Primary) trimLocked() {
 	drop := 0
 	for _, e := range p.history {
-		if e.canon {
+		if e.boundary {
 			if e.version >= p.base.version {
 				break
 			}
@@ -213,11 +212,11 @@ func (p *Primary) trimLocked() {
 }
 
 // seekLocked returns the sequence number of the first entry a follower
-// positioned at version still needs: batches past it, canon markers at
+// positioned at version still needs: batches past it, boundary markers at
 // or past it.
 func (p *Primary) seekLocked(version uint64) uint64 {
 	for i, e := range p.history {
-		if e.canon {
+		if e.boundary {
 			if e.version >= version {
 				return p.firstSeq + uint64(i)
 			}
@@ -350,8 +349,8 @@ func (p *Primary) ServeReplication(conn net.Conn, bw *bufio.Writer, req *wire.Fr
 		if len(pending) > 0 {
 			scratch = scratch[:0]
 			for _, e := range pending {
-				if e.canon {
-					scratch = wire.AppendReplCanonFrame(scratch, p.epoch, e.version)
+				if e.boundary {
+					scratch = wire.AppendReplBoundaryFrame(scratch, p.epoch, e.version)
 				} else {
 					scratch = wire.AppendReplBatchFrame(scratch, p.epoch, e.version, e.ops)
 				}

@@ -166,7 +166,7 @@ func runFollower(t testing.TB, f *Follower) context.CancelFunc {
 
 // TestReplicationConvergence streams live churn to a fresh follower and
 // checks byte-for-byte snapshot equality at several synced points, plus
-// checkpoint-image equality at a shared canon boundary. A second, late
+// checkpoint-image equality at a shared checkpoint boundary. A second, late
 // follower must converge too — through a checkpoint install, because
 // the small history limit has long trimmed the early batches.
 func TestReplicationConvergence(t *testing.T) {
@@ -210,11 +210,11 @@ func TestReplicationConvergence(t *testing.T) {
 		t.Fatal("late follower snapshot frame differs from primary")
 	}
 
-	// Checkpoint images at a shared canon boundary must match byte for
-	// byte. The primary's capture ships a canon marker; wait for the
+	// Checkpoint images at a shared checkpoint boundary must match byte for
+	// byte. The primary's capture ships a boundary marker; wait for the
 	// followers to cross the boundary before imaging them.
 	pver, pimg := captureImage(t, svc)
-	waitFor(t, 10*time.Second, "followers to pass the canon boundary", func() bool {
+	waitFor(t, 10*time.Second, "followers to pass the checkpoint boundary", func() bool {
 		return f.Status().StreamVersion >= pver && late.Status().StreamVersion >= pver
 	})
 	if fver, fimg := captureImage(t, f.Service()); fver != pver || !bytes.Equal(pimg, fimg) {
@@ -491,10 +491,10 @@ func TestCrossProcessDeterminism(t *testing.T) {
 	ver := churn(t, svc, rng, 40, 8)
 	waitFor(t, 20*time.Second, "follower sync", func() bool { return f.Status().Version >= ver })
 
-	// The primary's capture is a real store checkpoint at a canon
+	// The primary's capture is a real store checkpoint and thus a
 	// boundary; the follower, synced to the same version, must produce
 	// the identical image (checkpoints serialise graph + S + version,
-	// and the candidate index is rebuilt canonically by every loader).
+	// not the candidate index).
 	pver, pimg := captureImage(t, svc)
 	if pver != ver {
 		t.Fatalf("primary capture at version %d, churn ended at %d", pver, ver)

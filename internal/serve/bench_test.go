@@ -146,12 +146,14 @@ func BenchmarkServeMixedDurableSync(b *testing.B) {
 // acceptance criterion cares about — how long the writer (and snapshot
 // freshness) stalls per checkpoint. Serial pays the full image write +
 // fsync + rename there; pipelined only the in-memory capture (plus any
-// wait for an install still in flight). The graph is sized so the
-// canonicalize+serialize capture cost — paid on the writer by *both*
-// paths — does not drown the install cost this benchmark exists to
-// compare, and so an install always completes within the next
-// inter-checkpoint window (back-to-back checkpoints on a huge image
-// would re-serialize the one-install-in-flight wait into the stall).
+// wait for an install still in flight). Neither path touches the live
+// engine at the boundary: the capture is one serialization of the graph
+// and S, streamed from the live structures. The graph is sized so that
+// serialization — paid on the writer by *both* paths — does not drown
+// the install cost this benchmark exists to compare, and so an install
+// always completes within the next inter-checkpoint window (back-to-back
+// checkpoints on a huge image would re-serialize the
+// one-install-in-flight wait into the stall).
 func BenchmarkCheckpointStall(b *testing.B) {
 	g := gen.CommunitySocial(2000, 10, 0.2, 4000, 17)
 	const every = 2048

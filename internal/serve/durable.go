@@ -33,18 +33,24 @@ import (
 //     is checkpointed: the checkpoint is written to a temp file, fsynced,
 //     atomically renamed over checkpoint.dkc, the directory synced, and a
 //     fresh WAL generation started; superseded generations' logs are then
-//     deleted. The engine canonicalizes its candidate index at the same
-//     boundary, which is what makes recovery byte-identical (see
-//     dynamic.CanonicalizeIndex). Pipelined services capture the image in
-//     memory and install it in the background, so the writer only stalls
-//     for the capture; the WAL generation still rolls at the capture
-//     point, which is what lets recovery find the boundary.
+//     deleted. Pipelined services capture the image in memory and
+//     install it in the background, so the writer only stalls for the
+//     capture (one serialization of the graph and S); the WAL generation
+//     still rolls at the capture point, which is what lets recovery find
+//     the boundary.
 //   - Open loads the checkpoint, replays the matching WAL generation's
 //     intact record prefix through ApplyBatch (a torn tail from a crash
 //     mid-append is truncated away), then walks any newer generations a
-//     crashed-in-flight install left behind — canonicalizing between
-//     generations exactly as the live engine did — and resumes appending
-//     to the newest one.
+//     crashed-in-flight install left behind, and resumes appending to
+//     the newest one.
+//
+// Recovery is byte-identical to the engine that never crashed because
+// the engine's updates are a function of (graph, S, clique ids) alone:
+// the loaded candidate index numbers its entries differently from the
+// live one, but swap tie-breaking orders candidates by their members,
+// not their ids (see the dynamic package's checkpoint.go). A checkpoint
+// therefore never touches the live engine — the writer serializes it
+// and carries on.
 //
 // Store layout inside Dir:
 //
@@ -336,17 +342,14 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 	// service rolls to WAL generation g+1 at the in-memory capture and
 	// installs checkpoint g+1 in the background, so a crash inside that
 	// window leaves checkpoint.dkc one (or, across repeated crashes,
-	// several) generations behind the newest log. Each generation switch
-	// was a canonicalization boundary on the live engine; reproducing it
-	// between the replays is what keeps the recovered lineage — and any
-	// follower fed from it — byte-identical (see dynamic.CanonicalizeIndex
-	// and repl.go). The newest generation takes over as the append target.
+	// several) generations behind the newest log. Replaying the
+	// generations in order reproduces the live engine exactly; the
+	// newest one takes over as the append target.
 	for {
 		nwp := walPath(dir, gen+1)
 		if _, serr := os.Stat(nwp); serr != nil {
 			break
 		}
-		eng.CanonicalizeIndex()
 		gen++
 		wp = nwp
 		valid, err = wal.Replay(wp, replay)
@@ -476,7 +479,8 @@ func (s *Service) maybeCheckpoint(applied int) error {
 // pipelined services capture in memory and install in the background,
 // serial ones write the full checkpoint inline — and accounts the
 // writer's stall either way. Called with the writer quiescent: on the
-// writer goroutine itself (periodic, repl canon, replication catch-up).
+// writer goroutine itself (periodic, or at a shipped repl checkpoint
+// boundary).
 func (s *Service) storeCheckpoint() error {
 	start := time.Now()
 	defer func() { s.ckptStallNs.Add(uint64(time.Since(start))) }()
@@ -488,8 +492,8 @@ func (s *Service) storeCheckpoint() error {
 
 // captureCheckpoint is the writer-side half of a pipelined checkpoint:
 // drain what must be durable, serialize the engine image into memory,
-// roll the WAL generation, canonicalize, and hand the slow install to the
-// background goroutine. The writer resumes applying immediately after.
+// roll the WAL generation, and hand the slow install to the background
+// goroutine. The writer resumes applying immediately after.
 func (s *Service) captureCheckpoint() error {
 	d := s.dur
 	// Exactly one install in flight: absorb the previous one first (a
@@ -499,8 +503,8 @@ func (s *Service) captureCheckpoint() error {
 		return err
 	}
 	// The old generation must be complete and durable before the switch:
-	// recovery treats the generation boundary as the canonicalization
-	// point, so no record may migrate across it afterwards.
+	// recovery replays the generations in order, so an acked record in
+	// the new one must never outlive an unsynced tail of the old.
 	if err := d.sync.drain(); err != nil {
 		return err
 	}
@@ -531,13 +535,7 @@ func (s *Service) captureCheckpoint() error {
 	// Counted at capture: this is when the boundary lands in the history,
 	// whether or not the install has hit the disk yet.
 	s.checkpoints.Add(1)
-	s.eng.CanonicalizeIndex()
-	// Canonicalization boundaries are part of the replicated history:
-	// every replica must canonicalize at the same version or swap
-	// tie-breaking drifts (see repl.go).
-	if sink := s.replSink(); sink != nil {
-		sink.ReplCanon(s.eng.Snapshot().Version())
-	}
+	s.announceCheckpoint()
 	d.ckpt.start(installReq{data: d.ckptBuf, gen: gen, oldLog: oldLog, done: make(chan error, 1)})
 	return nil
 }
@@ -566,9 +564,8 @@ func (s *Service) installCheckpoint(req installReq) error {
 
 // checkpointInline writes a checkpoint and starts the next WAL
 // generation, all on the calling goroutine — the serial-durability path.
-// final (Close) skips the new generation and the index canonicalization —
-// the checkpoint alone carries the whole state, so recovery replays
-// nothing and the dying engine needs no further determinism upkeep.
+// final (Close) skips the new generation — the checkpoint alone carries
+// the whole state, so recovery replays nothing.
 // Called with the writer quiescent: either on the writer goroutine itself
 // or from Close after the writer exited and the pipeline stopped.
 func (s *Service) checkpointInline(final bool) error {
@@ -602,12 +599,6 @@ func (s *Service) checkpointInline(final bool) error {
 		return err
 	}
 	removeStaleWALs(s.dur.dir, gen, gen)
-	s.eng.CanonicalizeIndex()
-	// Canonicalization boundaries are part of the replicated history:
-	// every replica must canonicalize at the same version or swap
-	// tie-breaking drifts (see repl.go).
-	if sink := s.replSink(); sink != nil {
-		sink.ReplCanon(s.eng.Snapshot().Version())
-	}
+	s.announceCheckpoint()
 	return nil
 }

@@ -7,7 +7,9 @@ package serve
 // is process-global, so these tests must not run in parallel (none do).
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/wal"
 )
 
@@ -276,8 +279,8 @@ func TestFlushCheckpointHammer(t *testing.T) {
 // testSkipInstall seam) no install ever reaches the disk, so the store
 // image is checkpoint.dkc at generation g with the chain wal-g, wal-g+1,
 // … wal-tail — exactly what a crash mid-install leaves. Chain recovery
-// must replay across the generations, canonicalizing at each boundary,
-// and land on the exact pre-crash state.
+// must replay across the generations and land on the exact pre-crash
+// state.
 func TestCrashDuringBackgroundInstall(t *testing.T) {
 	ctx := context.Background()
 	testSkipInstall.Store(true)
@@ -312,6 +315,94 @@ func TestCrashDuringBackgroundInstall(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		sameState(t, r.Snapshot(), want)
+		if err := r.eng.Verify(); err != nil {
+			t.Fatalf("seed %d: recovered engine: %v", seed, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoverChainMatchesUninterrupted is the serve-level determinism
+// contract: a service recovered across a chain of WAL generations and an
+// in-memory service that took the same rounds without ever crashing or
+// checkpointing must agree byte for byte — at the crash point and under
+// every further round, with the recovered service checkpointing on its
+// own schedule meanwhile. Early checkpoints install normally, so the
+// recovery base is a checkpoint taken after churn (its loaded candidate
+// index numbers entries differently from the live one's); later captures
+// are never installed (the testSkipInstall seam), leaving the chain. Each
+// round is one Enqueue plus Flush, so both writers apply it as one
+// ApplyBatch. The churn must exercise swaps: that is where an engine
+// loaded from a checkpoint could decide differently from the live one.
+func TestRecoverChainMatchesUninterrupted(t *testing.T) {
+	ctx := context.Background()
+	t.Cleanup(func() { testSkipInstall.Store(false) })
+	round := func(rng *rand.Rand, g *graph.Graph, svcs ...*Service) {
+		t.Helper()
+		ops := randomOps(g, rng, 8+rng.Intn(24))
+		for _, s := range svcs {
+			if err := s.Enqueue(ctx, ops...); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		dir := t.TempDir()
+		g := gen.CommunitySocial(250, 8, 0.3, 700, 260+seed)
+		rng := rand.New(rand.NewSource(270 + seed))
+		opt := Options{Fsync: wal.SyncEveryBatch, CheckpointEvery: 48}
+		d := durableService(t, g, dir, opt)
+		u := newService(t, g, Options{})
+		// Capturing generation 3 waited for generation 2's install, so the
+		// on-disk base is a post-churn checkpoint from here on.
+		for d.dur.gen < 3 {
+			round(rng, g, d, u)
+		}
+		testSkipInstall.Store(true)
+		for skipFrom := d.dur.gen; d.dur.gen < skipFrom+3; {
+			round(rng, g, d, u)
+		}
+		sameState(t, d.Snapshot(), u.Snapshot())
+		d.crashForTest()
+		testSkipInstall.Store(false)
+
+		hdr, err := os.ReadFile(filepath.Join(dir, checkpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := int64(binary.LittleEndian.Uint64(hdr[8:storeHdrSize]))
+		r, err := Open(dir, opt)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if base < 2 || r.dur.gen-base < 2 {
+			t.Fatalf("seed %d: recovered from generation %d through %d; want a post-churn base and a chain of 2+",
+				seed, base, r.dur.gen)
+		}
+		sameState(t, r.Snapshot(), u.Snapshot())
+		for i := 0; i < 40; i++ {
+			round(rng, g, r, u)
+			sameState(t, r.Snapshot(), u.Snapshot())
+		}
+		if r.eng.Stats().Swaps == 0 || u.eng.Stats().Swaps == 0 {
+			t.Fatalf("seed %d: churn drove no swaps (recovered %d, uninterrupted %d)",
+				seed, r.eng.Stats().Swaps, u.eng.Stats().Swaps)
+		}
+		var rb, ub bytes.Buffer
+		if err := r.eng.WriteCheckpoint(&rb); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.eng.WriteCheckpoint(&ub); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rb.Bytes(), ub.Bytes()) {
+			t.Fatalf("seed %d: recovered and uninterrupted engines serialize differently", seed)
+		}
 		if err := r.eng.Verify(); err != nil {
 			t.Fatalf("seed %d: recovered engine: %v", seed, err)
 		}

@@ -138,7 +138,7 @@ func TestCrashRecovery(t *testing.T) {
 				dir := t.TempDir()
 				g := gen.CommunitySocial(300, 8, 0.3, 800, 50+seed)
 				rng := rand.New(rand.NewSource(60 + seed))
-				// Tiny CheckpointEvery forces several checkpoint + canonicalize +
+				// Tiny CheckpointEvery forces several checkpoint +
 				// WAL-rollover cycles mid-stream; SyncNone exercises the
 				// flush-time sync path.
 				opt := Options{Fsync: wal.SyncNone, CheckpointEvery: 64, SerialDurability: mode.serial}

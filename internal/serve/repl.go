@@ -14,22 +14,25 @@ import (
 // Replication support. A primary Service exposes a ReplSink hook the
 // log-shipping layer (internal/repl) attaches to: the writer goroutine
 // reports every S-changing batch right after it is applied (and WAL-
-// logged), and every candidate-index canonicalization boundary. A
-// follower Service is the receiving side: local writes are refused with
-// ErrNotPrimary and state advances only through Replicate/Canonicalize,
-// which apply the primary's exact batch sequence through the same
-// single-writer loop — so MVCC snapshots are byte-identical to the
-// primary's at every shipped version.
+// logged), and every checkpoint boundary. A follower Service is the
+// receiving side: local writes are refused with ErrNotPrimary and state
+// advances only through Replicate/CheckpointBoundary, which apply the
+// primary's exact batch sequence through the same single-writer loop —
+// so MVCC snapshots are byte-identical to the primary's at every shipped
+// version.
 //
-// Determinism contract (why canon boundaries are part of the stream):
-// dynamic.LoadCheckpoint rebuilds the candidate index in canonical
-// order, and swap tie-breaking follows candidate order, so two engines
-// stay byte-identical only if they canonicalize at the same versions.
-// The primary canonicalizes at its checkpoint boundaries and whenever a
-// replication checkpoint is captured; both paths emit ReplCanon, and a
-// follower canonicalizes exactly at the shipped markers — never on its
-// own schedule (its durable checkpoints ride the same markers, keeping
-// a crash-recovered follower on the primary's lineage).
+// Determinism contract: an engine's next state is a function of its
+// graph, S with its clique ids, and the batch applied — swap tie-breaking
+// orders candidates by their members, never by internal candidate ids —
+// so an engine loaded from any checkpoint and fed the same batches stays
+// byte-identical to the one the checkpoint was taken from. The boundary
+// markers (ReplBoundary, shipped as boundary frames) are therefore not
+// needed for convergence. They mark where the primary checkpointed: a durable
+// follower writes its own store checkpoint at each marker (its only
+// checkpoints, so its store syncs and rolls where the primary's did),
+// an in-memory follower just forwards the marker to its own replicas,
+// and both check the engine version against the marker's, which
+// detects a divergent stream.
 
 // ErrNotPrimary is returned by Enqueue on a follower-mode service:
 // followers take writes only from the replication stream.
@@ -37,8 +40,8 @@ var ErrNotPrimary = errors.New("serve: not the primary; follower refuses local w
 
 // ReplSink receives replication events from the writer goroutine.
 // Both methods are called synchronously on the writer (or, for
-// Checkpointer-triggered canonicalizations, on the goroutine running
-// the capture) — implementations must be fast and must not call back
+// Checkpointer-triggered boundaries, on the goroutine running the
+// capture) — implementations must be fast and must not call back
 // into the Service except through the provided Checkpointer. The ops
 // slice aliases the writer's reusable buffer: copy it before retaining.
 type ReplSink interface {
@@ -48,10 +51,11 @@ type ReplSink interface {
 	// stands right now — the writer is quiescent for the duration of the
 	// call.
 	ReplBatch(cp Checkpointer, ops []workload.Op, version uint64)
-	// ReplCanon reports that the engine canonicalized its candidate
-	// index with the snapshot at version — a boundary every replica must
-	// reproduce.
-	ReplCanon(version uint64)
+	// ReplBoundary reports a checkpoint boundary at the snapshot version:
+	// the service checkpointed its store there, or captured a
+	// replication checkpoint through a Checkpointer. Durable followers
+	// checkpoint at the same version.
+	ReplBoundary(version uint64)
 }
 
 // Checkpointer captures engine checkpoints with the writer quiescent.
@@ -61,10 +65,9 @@ type Checkpointer interface {
 	// Version returns the engine's current snapshot version.
 	Version() uint64
 	// Checkpoint writes a dynamic.WriteCheckpoint image of the engine to
-	// w and returns the version it captures. The capture is a
-	// canonicalization boundary: the live engine's index is canonical
-	// afterwards (on a durable service via a real store checkpoint, so
-	// crash recovery stays byte-identical) and ReplCanon fires for it.
+	// w and returns the version it captures. The capture leaves the
+	// engine untouched and is announced as a boundary: ReplBoundary fires
+	// for it.
 	Checkpoint(w io.Writer) (uint64, error)
 }
 
@@ -140,15 +143,15 @@ func (s *Service) Replicate(ctx context.Context, ops []workload.Op) (uint64, err
 	return s.sendRepl(ctx, &replReq{ops: ops, done: make(chan replResult, 1)})
 }
 
-// Canonicalize reproduces a shipped canonicalization boundary on a
-// follower: a durable follower writes a real store checkpoint there
-// (its only checkpoints — keeping crash recovery on the primary's
-// lineage), an in-memory one canonicalizes the index directly.
-func (s *Service) Canonicalize(ctx context.Context) (uint64, error) {
+// CheckpointBoundary reproduces a shipped checkpoint boundary on a
+// follower and returns the engine version there: a durable follower
+// writes a store checkpoint (its only checkpoints), an in-memory one
+// announces the boundary to its own sink and leaves the engine as it is.
+func (s *Service) CheckpointBoundary(ctx context.Context) (uint64, error) {
 	if !s.follower {
-		return 0, errors.New("serve: Canonicalize on a primary service")
+		return 0, errors.New("serve: CheckpointBoundary on a primary service")
 	}
-	return s.sendRepl(ctx, &replReq{canon: true, done: make(chan replResult, 1)})
+	return s.sendRepl(ctx, &replReq{boundary: true, done: make(chan replResult, 1)})
 }
 
 // Follower reports whether the service is in follower mode.
@@ -184,11 +187,11 @@ func (s *Service) sendRepl(ctx context.Context, req *replReq) (uint64, error) {
 }
 
 // replReq is a follower-side replication work item: one exact batch to
-// apply, or a canonicalization boundary.
+// apply, or a checkpoint boundary.
 type replReq struct {
-	ops   []workload.Op
-	canon bool
-	done  chan replResult // buffered; the writer never blocks on it
+	ops      []workload.Op
+	boundary bool
+	done     chan replResult // buffered; the writer never blocks on it
 }
 
 type replResult struct {
@@ -208,17 +211,14 @@ func (s *Service) applyRepl(req *replReq) {
 		req.done <- replResult{err: err}
 		return
 	}
-	if req.canon {
+	if req.boundary {
 		var err error
 		if s.dur != nil {
 			if err = s.storeCheckpoint(); err != nil {
 				s.fail(err)
 			}
 		} else {
-			s.eng.CanonicalizeIndex()
-			if sink := s.replSink(); sink != nil {
-				sink.ReplCanon(s.eng.Snapshot().Version())
-			}
+			s.announceCheckpoint()
 		}
 		req.done <- replResult{version: s.eng.Snapshot().Version(), err: err}
 		return
@@ -268,40 +268,21 @@ func (c svcCheckpointer) Checkpoint(w io.Writer) (uint64, error) {
 	if err := s.Err(); err != nil {
 		return 0, err
 	}
-	if s.dur != nil {
-		// On a durable service the capture must be a real store
-		// checkpoint: storeCheckpoint canonicalizes the live index at
-		// this version, and doing that without rolling the store would
-		// break byte-identical crash recovery mid-generation. It also
-		// emits ReplCanon for the boundary.
-		if err := s.storeCheckpoint(); err != nil {
-			s.fail(err)
-			return 0, err
-		}
-		ver := s.eng.Snapshot().Version()
-		if s.dur.ckpt != nil {
-			// Pipelined: the capture that just rolled the store holds the
-			// exact image to serve. Write those bytes (minus the store
-			// header) rather than re-serializing the engine, and never
-			// touch the possibly half-installed on-disk file. Read-only
-			// aliasing with the background installer is safe.
-			_, err := w.Write(s.dur.ckptBuf[storeHdrSize:])
-			return ver, err
-		}
-		return ver, s.eng.WriteCheckpoint(w)
-	}
 	ver := s.eng.Snapshot().Version()
 	if err := s.eng.WriteCheckpoint(w); err != nil {
 		return 0, err
 	}
-	// LoadCheckpoint rebuilds the index canonically, so the capture is a
-	// canon boundary for its loader; canonicalize the live engine too and
-	// announce the boundary to streaming replicas.
-	s.eng.CanonicalizeIndex()
-	if sink := s.replSink(); sink != nil {
-		sink.ReplCanon(ver)
-	}
+	s.announceCheckpoint()
 	return ver, nil
+}
+
+// announceCheckpoint reports a checkpoint boundary at the current
+// version to the attached replication sink, if any. Writer goroutine
+// only (or wherever the writer is quiescent).
+func (s *Service) announceCheckpoint() {
+	if sink := s.replSink(); sink != nil {
+		sink.ReplBoundary(s.eng.Snapshot().Version())
+	}
 }
 
 // NewFollowerFromCheckpoint builds a follower-mode Service from a
@@ -311,7 +292,7 @@ func (c svcCheckpointer) Checkpoint(w io.Writer) (uint64, error) {
 // the stream from its last applied version; the directory must not
 // already hold a store (reinstalls clear it first). Local writes are
 // refused with ErrNotPrimary; state advances through Replicate and
-// Canonicalize only.
+// CheckpointBoundary only.
 func NewFollowerFromCheckpoint(r io.Reader, opt Options) (*Service, error) {
 	opt = opt.withDefaults()
 	eng, err := dynamic.LoadCheckpoint(bufio.NewReader(r), opt.Workers)
@@ -336,10 +317,9 @@ func NewFollowerFromCheckpoint(r io.Reader, opt Options) (*Service, error) {
 // OpenFollower resumes a durable follower store (created by
 // NewFollowerFromCheckpoint with a Dir) exactly as Open resumes a
 // primary's: checkpoint load plus WAL-suffix replay. Because the
-// follower's WAL holds the primary's exact shipped batches and its
-// checkpoints sit on shipped canon boundaries, the recovered engine is
-// byte-identical to the pre-crash one and the stream can resume from
-// its version.
+// follower's WAL holds the primary's exact shipped batches, the
+// recovered engine is byte-identical to the pre-crash one and the
+// stream can resume from its version.
 func OpenFollower(dir string, opt Options) (*Service, error) {
 	return open(dir, opt, true)
 }

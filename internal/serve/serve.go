@@ -207,7 +207,8 @@ type Service struct {
 
 	// follower marks a replica service: Enqueue refuses local writes
 	// with ErrNotPrimary and state advances through Replicate/
-	// Canonicalize (repl.go). Set before the writer starts, never after.
+	// CheckpointBoundary (repl.go). Set before the writer starts, never
+	// after.
 	follower bool
 
 	// sink is the attached replication sink, stored as a pointer to the
@@ -370,7 +371,7 @@ func (s *Service) run(maxBatch int) {
 			s.batches.Add(1)
 			if changed > 0 {
 				// Ship S-changing batches (the only ones that bump the
-				// version) before maybeCheckpoint so a canon boundary lands
+				// version) before maybeCheckpoint so a checkpoint boundary lands
 				// after its batch in the stream. chunk aliases buf — the
 				// sink copies what it retains.
 				if sink := s.replSink(); sink != nil {

@@ -9,7 +9,7 @@ import (
 // the same frame transport as the read protocol. A follower opens a
 // connection with one FrameReqReplicate request (carrying the epoch and
 // version it last applied); the primary answers with an optional
-// checkpoint install followed by a continuous stream of batch and canon
+// checkpoint install followed by a continuous stream of batch and boundary
 // frames. Every primary→follower frame carries the primary's epoch so a
 // follower can fence off a deposed primary on any frame, not just the
 // handshake.
@@ -25,24 +25,32 @@ import (
 //	              [4] v) — the exact op sequence of one primary
 //	              ApplyBatch call; the follower must apply it as one
 //	              batch, not coalesce or split it
-//	replcanon:    [8] epoch, [8] version — the primary canonicalized its
-//	              candidate index at version (a checkpoint boundary);
-//	              the follower must canonicalize there too or the two
-//	              engines' swap tie-breaking drifts apart
+//	replboundary: [8] epoch, [8] version — the primary checkpointed at
+//	              version; a durable follower checkpoints its own store
+//	              there, and every follower checks that its engine is at
+//	              the same version
 //	reqreplicate: [8] last epoch, [8] last applied version,
 //	              [1] haveState flag (0 = fresh follower wanting a full
 //	              install, 1 = resume from version if the primary still
-//	              holds the suffix)
+//	              holds the suffix), [1] ReplProtocol
 const (
 	// FrameReplCheckpoint carries a full engine checkpoint install.
 	FrameReplCheckpoint FrameType = 7
 	// FrameReplBatch carries one shipped WAL batch.
 	FrameReplBatch FrameType = 8
-	// FrameReplCanon marks a canonicalization (checkpoint) boundary.
-	FrameReplCanon FrameType = 9
+	// FrameReplBoundary marks a checkpoint boundary.
+	FrameReplBoundary FrameType = 9
 	// FrameReqReplicate opens a replication stream (request direction).
 	FrameReqReplicate FrameType = 21
 )
+
+// ReplProtocol is the replication protocol version a follower states in
+// its handshake; a primary accepts only its own. It changes whenever the
+// same batch stream could take two releases' engines to different states,
+// so a primary and a follower that would diverge refuse each other
+// instead. Version 2: swap ties break by clique content, not candidate id
+// (version 1 requests carry no protocol byte).
+const ReplProtocol = 2
 
 // EdgeOp is one edge update of a shipped batch. It mirrors workload.Op
 // structurally; wire cannot import workload (workload imports wire), so
@@ -89,10 +97,10 @@ func AppendReplBatchFrame(b []byte, epoch, version uint64, ops []EdgeOp) []byte 
 	return endFrame(b, mark)
 }
 
-// AppendReplCanonFrame appends a canonicalization marker: the primary
-// canonicalized its candidate index with its engine at version.
-func AppendReplCanonFrame(b []byte, epoch, version uint64) []byte {
-	b, mark := beginFrame(b, FrameReplCanon)
+// AppendReplBoundaryFrame appends a checkpoint-boundary marker: the
+// primary checkpointed with its engine at version.
+func AppendReplBoundaryFrame(b []byte, epoch, version uint64) []byte {
+	b, mark := beginFrame(b, FrameReplBoundary)
 	b = binary.LittleEndian.AppendUint64(b, epoch)
 	b = binary.LittleEndian.AppendUint64(b, version)
 	return endFrame(b, mark)
@@ -101,7 +109,7 @@ func AppendReplCanonFrame(b []byte, epoch, version uint64) []byte {
 // AppendReplicateRequest appends the replication handshake request:
 // the follower's last accepted epoch and applied version, and whether
 // it holds state at that version (haveState=false forces a full
-// checkpoint install).
+// checkpoint install), stating this build's ReplProtocol.
 func AppendReplicateRequest(b []byte, lastEpoch, lastVersion uint64, haveState bool) []byte {
 	b, mark := beginFrame(b, FrameReqReplicate)
 	b = binary.LittleEndian.AppendUint64(b, lastEpoch)
@@ -111,6 +119,7 @@ func AppendReplicateRequest(b []byte, lastEpoch, lastVersion uint64, haveState b
 	} else {
 		b = append(b, 0)
 	}
+	b = append(b, ReplProtocol)
 	return endFrame(b, mark)
 }
 
@@ -159,9 +168,9 @@ func (f *Frame) decodeReplBatch(p []byte) error {
 	return nil
 }
 
-func (f *Frame) decodeReplCanon(p []byte) error {
+func (f *Frame) decodeReplBoundary(p []byte) error {
 	if len(p) != 16 {
-		return fmt.Errorf("wire: repl canon payload of %d bytes, want 16", len(p))
+		return fmt.Errorf("wire: repl boundary payload of %d bytes, want 16", len(p))
 	}
 	f.Epoch = binary.LittleEndian.Uint64(p[0:8])
 	f.Version = binary.LittleEndian.Uint64(p[8:16])
@@ -169,8 +178,11 @@ func (f *Frame) decodeReplCanon(p []byte) error {
 }
 
 func (f *Frame) decodeReplicateRequest(p []byte) error {
-	if len(p) != 17 {
-		return fmt.Errorf("wire: replicate request payload of %d bytes, want 17", len(p))
+	if len(p) != 18 {
+		return fmt.Errorf("wire: replicate request payload of %d bytes, want 18 (replication protocol %d)", len(p), ReplProtocol)
+	}
+	if p[17] != ReplProtocol {
+		return fmt.Errorf("wire: replication protocol %d, want %d", p[17], ReplProtocol)
 	}
 	f.Epoch = binary.LittleEndian.Uint64(p[0:8])
 	f.Version = binary.LittleEndian.Uint64(p[8:16])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -64,9 +65,9 @@ func TestReplFrameRoundTrip(t *testing.T) {
 		},
 		{
 			name: "canon",
-			buf:  AppendReplCanonFrame(nil, 5, 99),
+			buf:  AppendReplBoundaryFrame(nil, 5, 99),
 			check: func(t *testing.T, f *Frame) {
-				if f.Type != FrameReplCanon || f.Epoch != 5 || f.Version != 99 {
+				if f.Type != FrameReplBoundary || f.Epoch != 5 || f.Version != 99 {
 					t.Fatalf("decoded = %+v", f)
 				}
 			},
@@ -109,6 +110,22 @@ func TestReplicateRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplicateRequestRejectsOtherProtocol: a handshake from a follower
+// of another release is refused before any stream starts — the
+// protocol-1 layout without a protocol byte, and a wrong protocol byte.
+func TestReplicateRequestRejectsOtherProtocol(t *testing.T) {
+	valid := AppendReplicateRequest(nil, 1, 5, true)
+	payload := valid[HeaderSize:]
+	other := append(append([]byte(nil), payload[:17]...), ReplProtocol+1)
+	for name, p := range map[string][]byte{"protocol 1": payload[:17], "other protocol": other} {
+		buf, mark := beginFrame(nil, FrameReqReplicate)
+		buf = endFrame(append(buf, p...), mark)
+		if _, _, err := DecodeRequest(buf); err == nil || !strings.Contains(err.Error(), "protocol") {
+			t.Fatalf("%s: DecodeRequest error %v, want a protocol refusal", name, err)
+		}
+	}
+}
+
 func TestReplBatchDecodeRejectsInvalidOps(t *testing.T) {
 	bad := [][]EdgeOp{
 		{{Insert: true, U: 3, V: 3}},  // self-loop
@@ -147,11 +164,11 @@ func FuzzReplDecode(f *testing.F) {
 	f.Add(AppendReplCheckpointFrame(nil, 2, 0, nil))
 	f.Add(AppendReplBatchFrame(nil, 1, 8, []EdgeOp{{Insert: true, U: 0, V: 1}, {U: 2, V: 3}}))
 	f.Add(AppendReplBatchFrame(nil, 1, 9, nil))
-	f.Add(AppendReplCanonFrame(nil, 1, 10))
+	f.Add(AppendReplBoundaryFrame(nil, 1, 10))
 	f.Add(AppendReplicateRequest(nil, 1, 11, true))
 	f.Add(AppendReplicateRequest(nil, 0, 0, false))
 	// A repl stream frame followed by garbage: consumed must isolate it.
-	f.Add(append(AppendReplCanonFrame(nil, 3, 4), 0xde, 0xad, 0xbe, 0xef))
+	f.Add(append(AppendReplBoundaryFrame(nil, 3, 4), 0xde, 0xad, 0xbe, 0xef))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := Decode(data)
@@ -170,8 +187,8 @@ func FuzzReplDecode(f *testing.F) {
 						t.Fatalf("decoded batch leaked invalid op %+v", op)
 					}
 				}
-			case FrameReplCanon:
-				re = AppendReplCanonFrame(nil, fr.Epoch, fr.Version)
+			case FrameReplBoundary:
+				re = AppendReplBoundaryFrame(nil, fr.Epoch, fr.Version)
 			}
 			if re != nil && !bytes.Equal(re, data[:n]) {
 				t.Fatalf("re-encoded repl frame differs from input (%d vs %d bytes)", len(re), n)

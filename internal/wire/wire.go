@@ -361,8 +361,8 @@ func Decode(data []byte) (*Frame, int, error) {
 		err = f.decodeReplCheckpoint(payload)
 	case FrameReplBatch:
 		err = f.decodeReplBatch(payload)
-	case FrameReplCanon:
-		err = f.decodeReplCanon(payload)
+	case FrameReplBoundary:
+		err = f.decodeReplBoundary(payload)
 	default:
 		err = fmt.Errorf("wire: unknown frame type %d", typ)
 	}
